@@ -19,17 +19,18 @@
 // whatever layout the store already has, and a 1-shard store keeps the
 // exact directory layout of earlier releases.
 //
-// With -distributed, jobs are not evaluated in-process: they are cut
-// into chunks of -chunk grid points and served to sweepworker processes
-// over lease/heartbeat/complete endpoints. A worker that dies mid-chunk
-// stops heartbeating, its lease expires after -lease-ttl, and the chunk
-// is re-queued. -local-workers N keeps N in-process workers draining
-// the same queue — the fallback that lets a distributed daemon complete
+// Every job, sweep or optimization, runs through one daemon-side runner
+// as a list of point batches: a sweep's grid is one batch, each NSGA-II
+// generation another. -distributed changes only who evaluates a batch.
+// Without it, the daemon's own worker pool does. With it, the batch is
+// cut into chunks of -chunk points and served to sweepworker processes
+// over lease/heartbeat/complete endpoints (optimizer leases carry the
+// bred design points explicitly). A worker that dies mid-chunk stops
+// heartbeating, its lease expires after -lease-ttl, and the chunk is
+// re-queued. -local-workers N keeps N in-process workers draining the
+// same queue — the fallback that lets a distributed daemon complete
 // jobs before any remote worker connects (0 = pure remote fleet).
-// Optimization jobs work in both modes: the NSGA-II coordinator always
-// runs daemon-side, and in distributed mode each generation's
-// individuals are chunked and leased to the same worker fleet (the
-// lease carries the bred design points explicitly).
+// Records, job states and trace phases are the same in both modes.
 //
 // Endpoints (see internal/service.NewHandler and docs/api.md):
 //
@@ -64,8 +65,8 @@
 // profiles can leak operational detail and cost CPU while streaming.
 //
 // Tracing: every submitted job gets a trace ID, and the daemon records
-// spans for its phases (queued, dispatch, evaluate, assemble) plus one
-// span per distributed chunk, with worker-side spans shipped back in
+// spans for its phases (queued, one dispatch per batch, assemble) plus
+// one span per distributed chunk, with worker-side spans shipped back in
 // completions. The newest -trace spans are retained in a bounded
 // in-memory ring and served per job at /api/v1/jobs/{id}/trace and
 // /api/v1/jobs/{id}/timeline; -trace 0 disables collection entirely

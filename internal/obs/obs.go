@@ -1,10 +1,12 @@
 // Package obs is the observability layer: a zero-dependency,
 // concurrency-safe metrics registry (counters, gauges, fixed-bucket
 // histograms, all with optional label dimensions), Prometheus-compatible
-// text exposition (expose.go), structured tracing of request and job
-// lifecycles over log/slog (trace.go), and HTTP middleware that
-// instruments every route with latency histograms, in-flight gauges and
-// status-class counters while propagating X-Request-ID (httpmw.go).
+// text exposition (expose.go), request and trace identity that rides
+// the context and HTTP headers (trace.go), a bounded span collector for
+// distributed job traces (collect.go), structured log/slog loggers, and
+// HTTP middleware that instruments every route with latency histograms,
+// in-flight gauges and status-class counters while propagating
+// X-Request-ID (httpmw.go).
 //
 // The cardinal rule is that observation never influences results: the
 // sweep engine's determinism contract (records are a pure function of

@@ -22,8 +22,8 @@ const gaSplitTag = 0x6f7074_5f67_6100
 // (generation*population + position), which the evaluator must feed to
 // the engine unchanged — it keys both the point's random sub-stream and
 // its content address. The in-process default wraps
-// sweep.EvaluatePoints; the service's distributed mode chunks the
-// points over the worker fleet instead.
+// sweep.EvaluatePoints; the service plugs in its own batch evaluator,
+// which in distributed mode chunks the points over the worker fleet.
 type Evaluator func(ctx context.Context, gen int, pts []sweep.Point) (recs []sweep.Record, cached int, err error)
 
 // Options parameterises one optimization run.
@@ -167,7 +167,7 @@ func Optimize(ctx context.Context, opts Options) (*Result, error) {
 	}
 	evaluate := opts.Evaluate
 	if evaluate == nil {
-		evaluate = InProcessEvaluator(opts.Space, opts.Seed, opts.Budget, opts.Workers, opts.Cache, nil)
+		evaluate = InProcessEvaluator(opts.Space, opts.Seed, opts.Budget, opts.Workers, opts.Cache)
 	}
 
 	res := &Result{
@@ -312,9 +312,8 @@ func summarize(gen, evaluated, cached int, pop []*indiv, objs []Objective) Gener
 // InProcessEvaluator returns the default Evaluator: each generation
 // fans out through sweep.EvaluatePoints with the given seed, budget,
 // worker pool and cache, under the space's "optimize/<name>" scenario
-// string. onPoint, when non-nil, observes every finished point (the
-// service wires its progress counters here).
-func InProcessEvaluator(space Space, seed uint64, budget sweep.Budget, workers int, cache sweep.Cache, onPoint func(index int, cached bool)) Evaluator {
+// string.
+func InProcessEvaluator(space Space, seed uint64, budget sweep.Budget, workers int, cache sweep.Cache) Evaluator {
 	scenario := space.ScenarioName()
 	return func(ctx context.Context, gen int, pts []sweep.Point) ([]sweep.Record, int, error) {
 		return sweep.EvaluatePoints(ctx, scenario, pts, sweep.Config{
@@ -322,7 +321,6 @@ func InProcessEvaluator(space Space, seed uint64, budget sweep.Budget, workers i
 			Seed:    seed,
 			Budget:  budget,
 			Cache:   cache,
-			OnPoint: onPoint,
 		})
 	}
 }

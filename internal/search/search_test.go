@@ -414,7 +414,7 @@ func TestOptimizeEvaluatorSeesGlobalIndices(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[int]bool{}
 	opts := optsFor(t, 0)
-	inner := InProcessEvaluator(opts.Space, opts.Seed, sweep.AnalyticBudget(), 0, nil, nil)
+	inner := InProcessEvaluator(opts.Space, opts.Seed, sweep.AnalyticBudget(), 0, nil)
 	opts.Evaluate = func(ctx context.Context, gen int, pts []sweep.Point) ([]sweep.Record, int, error) {
 		mu.Lock()
 		for i, pt := range pts {

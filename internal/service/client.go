@@ -161,15 +161,25 @@ func (c *Client) CompleteTraced(leaseID string, recs []sweep.Record, spans []obs
 }
 
 func (c *Client) complete(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
-	// Chunk completions are the fattest bodies on the worker wire; the
-	// columnar block encoder builds one in a single buffer, emitting the
-	// same bytes json.Marshal would per record.
+	// Chunk completions are the fattest bodies on the worker wire; build
+	// one in a single buffer, with the same bytes json.Marshal would
+	// emit per record.
 	body := make([]byte, 0, 128+256*len(recs))
-	body = append(body, `{"records":`...)
-	body, err := sweep.BlockRecords(recs).AppendRecordsJSON(body)
-	if err != nil {
-		return fmt.Errorf("service: encode records: %w", err)
+	body = append(body, `{"records":[`...)
+	for i, rec := range recs {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		var err error
+		if body, err = sweep.AppendRecordJSON(body, rec); err != nil {
+			// Deterministic: every retry and every re-lease would
+			// produce the same unencodable record. ErrBadRecords makes
+			// the worker fail the job with the encoder's message instead
+			// of letting the chunk come back every lease TTL.
+			return fmt.Errorf("%w: record %d cannot be encoded: %v", ErrBadRecords, rec.Index, err)
+		}
 	}
+	body = append(body, ']')
 	if len(spans) > 0 {
 		sp, err := json.Marshal(spans)
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/search"
 	"repro/internal/sweep"
 )
 
@@ -20,8 +19,10 @@ var (
 	// ErrLeaseGone means the lease id is unknown or belongs to a
 	// cancelled job: the worker should drop the chunk and lease again.
 	ErrLeaseGone = errors.New("service: lease gone")
-	// ErrBadRecords means a completion's records do not match the leased
-	// chunk (wrong count, index or scenario).
+	// ErrBadRecords means a completion's records cannot be accepted for
+	// the leased chunk: they do not match it (wrong count, index or
+	// scenario) or cannot be encoded for the wire. Either is
+	// deterministic, so the worker fails the job instead of retrying.
 	ErrBadRecords = errors.New("service: records do not match lease")
 )
 
@@ -327,9 +328,6 @@ func (d *dispatcher) endJob(j *job) {
 // HTTP API.
 func (m *Manager) Lease(worker string) (Lease, bool, error) {
 	d := m.dispatch
-	if d == nil {
-		return Lease{}, false, nil
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.clock()
@@ -387,9 +385,6 @@ func (m *Manager) Lease(worker string) (Lease, bool, error) {
 // should stop evaluating the chunk.
 func (m *Manager) Heartbeat(leaseID string) (time.Duration, error) {
 	d := m.dispatch
-	if d == nil {
-		return 0, ErrLeaseGone
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.clock()
@@ -429,9 +424,6 @@ const maxWorkerSpans = 16
 
 func (m *Manager) complete(leaseID string, recs []sweep.Record, spans []obs.SpanRecord) error {
 	d := m.dispatch
-	if d == nil {
-		return ErrLeaseGone
-	}
 	d.mu.Lock()
 	ref, ok := d.leases[leaseID]
 	if !ok || ref.t.cancelled {
@@ -566,9 +558,6 @@ func validateChunk(t *chunkTask, recs []sweep.Record) error {
 // other chunks are withdrawn.
 func (m *Manager) FailLease(leaseID, reason string) error {
 	d := m.dispatch
-	if d == nil {
-		return ErrLeaseGone
-	}
 	d.mu.Lock()
 	ref, ok := d.leases[leaseID]
 	if !ok || ref.t.cancelled || ref.t.done {
@@ -594,9 +583,6 @@ func (m *Manager) FailLease(leaseID, reason string) error {
 // sorted by name.
 func (m *Manager) WorkerFleet() []WorkerView {
 	d := m.dispatch
-	if d == nil {
-		return nil
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.clock()
@@ -640,62 +626,6 @@ func chunkRuns(todo []int, size int) []sweep.Chunk {
 	return out
 }
 
-// runDistributed executes one job by serving its chunks to workers
-// instead of evaluating in-process. Cached points are filled daemon-side
-// and never travel; the rest are chunked, dispatched, and assembled in
-// grid order, so the final Result is byte-identical to a single-node
-// sweep.Run of the same scenario, budget and seed. The whole grid is
-// one dispatchBatch call — the same path an optimization job walks once
-// per generation.
-func (m *Manager) runDistributed(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		// Cancelled while waiting in the queue.
-		j.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(m.ctx)
-	j.cancel = cancel
-	j.state = StateRunning
-	j.started = m.opts.Clock()
-	started, submitted := j.started, j.submitted
-	j.mu.Unlock()
-	defer cancel()
-	m.log.Info("job started", "job_id", j.id, "kind", j.kind, "scenario", j.scenarioName)
-	m.recordPhase(j, "queued", submitted, started, nil)
-
-	recs, cached, err := m.dispatchBatch(ctx, j, j.pts)
-	m.dispatch.endJob(j)
-	asmStart := m.opts.Clock()
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.finished = m.opts.Clock()
-	switch {
-	case err == nil:
-		res := &sweep.Result{
-			Scenario:       j.scenarioName,
-			Description:    j.scenario.Description,
-			Seed:           j.req.Seed,
-			Budget:         j.budget.Name,
-			Records:        recs,
-			CachedPoints:   cached,
-			ComputedPoints: len(recs) - cached,
-		}
-		res.ParetoIndices = sweep.MarkParetoFeasible(res.Records, j.feasible)
-		j.state = StateDone
-		j.result = res
-		m.recordPhase(j, "assemble", asmStart, j.finished, nil)
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCancelled
-		j.errMsg = "cancelled: " + err.Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-	}
-	m.noteFinishedLocked(j)
-}
-
 // dispatchBatch evaluates one batch of points over the worker fleet: a
 // daemon-side cache pre-pass so stored points never travel, the rest
 // chunked and enqueued, records assembled in batch order. It blocks
@@ -707,19 +637,6 @@ func (m *Manager) runDistributed(j *job) {
 // finished channel is closed before any state read off dr, so the
 // recheck is race-free.
 func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) ([]sweep.Record, int, error) {
-	batchStart := m.opts.Clock()
-	var cachedCount int
-	if j.traceID != "" {
-		// One dispatch span per batch: the whole grid for a sweep, one
-		// generation for an optimization — leased-and-evaluating wall
-		// time, cache pre-pass included.
-		defer func() {
-			m.recordPhase(j, "dispatch", batchStart, m.opts.Clock(), map[string]string{
-				"points": strconv.Itoa(len(pts)),
-				"cached": strconv.Itoa(cachedCount),
-			})
-		}()
-	}
 	dr := &distRun{recs: make([]sweep.Record, len(pts)), finished: make(chan struct{})}
 	var todo []int
 	for i, pt := range pts {
@@ -736,7 +653,6 @@ func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) 
 	}
 	dr.remaining = len(todo)
 	cached := len(pts) - len(todo)
-	cachedCount = cached
 	m.met.points(true, cached)
 
 	if len(todo) == 0 {
@@ -762,17 +678,4 @@ func (m *Manager) dispatchBatch(ctx context.Context, j *job, pts []sweep.Point) 
 		return nil, cached, ctx.Err()
 	}
 	return dr.recs, cached, nil
-}
-
-// distEvaluator returns the search.Evaluator an optimization job uses
-// in distributed mode: each generation is one dispatchBatch over the
-// worker fleet, exactly the treatment a whole sweep grid gets in
-// runDistributed. The NSGA-II coordinator blocks between generations
-// by construction (selection needs every record), so a per-generation
-// barrier costs nothing. Chunks left pending or leased after a
-// cancelled generation are withdrawn by runOptimize's deferred endJob.
-func (m *Manager) distEvaluator(j *job) search.Evaluator {
-	return func(ctx context.Context, gen int, pts []sweep.Point) ([]sweep.Record, int, error) {
-		return m.dispatchBatch(ctx, j, pts)
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -423,6 +424,66 @@ func TestWorkerEscalatesRejectedRecords(t *testing.T) {
 	got := waitState(t, m, v.ID, StateFailed)
 	if !strings.Contains(got.Error, "records do not match") {
 		t.Fatalf("job error = %q, want the record-mismatch reason", got.Error)
+	}
+}
+
+// TestUnencodableCompletionFailsJob: a chunk whose records cannot be
+// encoded for the wire (here a +Inf saturation) is as deterministic as
+// a grid skew. The HTTP worker must fail the job with the encoder's
+// message at once, instead of retrying, letting the lease expire and
+// getting the same chunk back every TTL.
+func TestUnencodableCompletionFailsJob(t *testing.T) {
+	orig := evalChunk
+	evalChunk = func(ctx context.Context, sc sweep.Scenario, c sweep.Chunk, cfg sweep.Config) ([]sweep.Record, error) {
+		recs, err := orig(ctx, sc, c, cfg)
+		if len(recs) > 0 {
+			recs[0].NoCSaturation = math.Inf(1)
+		}
+		return recs, err
+	}
+
+	const ttl = 5 * time.Second
+	m := New(Options{
+		JobWorkers:  1,
+		Distributed: true,
+		ChunkPoints: 100,
+		LeaseTTL:    ttl,
+	})
+	defer m.Shutdown(context.Background())
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	wctx, stopWorker := context.WithCancel(context.Background())
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		RunWorker(wctx, NewClient(srv.URL), WorkerOptions{Name: "inf", Poll: 5 * time.Millisecond, Workers: 1})
+	}()
+	defer func() {
+		stopWorker()
+		<-workerDone
+		evalChunk = orig
+	}()
+
+	start := time.Now()
+	v, err := m.Submit(Request{Scenario: "paper-baseline", Budget: "analytic", Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := waitState(t, m, v.ID, StateFailed)
+	if elapsed := time.Since(start); elapsed > ttl/2 {
+		t.Fatalf("job took %v to fail, want well inside the %v lease TTL", elapsed, ttl)
+	}
+	if !strings.Contains(got.Error, "+Inf") {
+		t.Fatalf("job error = %q, want the encoder's message naming +Inf", got.Error)
+	}
+	// A few more poll intervals: the withdrawn chunk must never be
+	// leased again.
+	time.Sleep(50 * time.Millisecond)
+	m.dispatch.mu.Lock()
+	issued := m.dispatch.seq
+	m.dispatch.mu.Unlock()
+	if issued != 1 {
+		t.Fatalf("%d leases issued, want exactly 1", issued)
 	}
 }
 

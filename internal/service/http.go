@@ -170,8 +170,8 @@ func NewHandler(m *Manager) http.Handler {
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
-		// One reused buffer for the whole stream: the columnar record
-		// encoder writes json.Marshal's exact bytes without per-record
+		// One reused buffer for the whole stream: sweep.AppendRecordJSON
+		// writes json.Marshal's exact bytes without per-record
 		// reflection or allocation.
 		line := make([]byte, 0, 1024)
 		for _, rec := range res.Records {
@@ -253,11 +253,7 @@ func NewHandler(m *Manager) http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	instrument(mux, hm, rt, "GET /api/v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		fleet := m.WorkerFleet()
-		if fleet == nil {
-			fleet = []WorkerView{}
-		}
-		writeJSON(w, http.StatusOK, fleet)
+		writeJSON(w, http.StatusOK, m.WorkerFleet())
 	})
 	instrument(mux, hm, rt, "GET /api/v1/jobs/{id}/pareto", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")

@@ -1,23 +1,27 @@
 // Package service turns the one-shot sweep executor into a long-running
-// job service: submitted sweeps wait in a priority FIFO queue, a
-// bounded-concurrency scheduler runs them through the engine (optionally
+// job service: submitted sweeps and optimizations wait in a priority
+// FIFO queue, a bounded-concurrency scheduler runs them (optionally
 // read-through a shared result store), and every job is observable
 // (progress counters) and cancellable (per-job contexts) while the
 // whole manager shuts down gracefully. cmd/sweepd fronts a Manager with
 // an HTTP API; see NewHandler and docs/api.md.
 //
-// In distributed mode the manager stops evaluating in-process and
-// becomes a dispatcher: each job's grid is cut into sweep.Chunks,
-// workers lease chunks (Lease), keep them alive (Heartbeat) and post
-// records back (Complete), and a worker that dies mid-chunk simply
-// stops heartbeating — its lease expires and the chunk is re-queued for
-// someone else. Workers are stateless: the per-point rng.Split
-// determinism contract means any worker reproduces exactly the records
-// a single-node run would, so completions are idempotent and an
-// N-worker fleet's merged result is byte-identical to one process's.
-// RunWorker is the worker loop, driven either in-process against a
-// *Manager (cmd/sweepd's local-workers fallback) or over HTTP through
-// *Client (cmd/sweepworker).
+// One runner (runJob) drives every job from queued to a terminal state.
+// A job is a list of point batches — a sweep is one batch over its
+// grid, an optimization one batch per generation — and every batch goes
+// through one evaluator (Manager.evaluate), the only place the
+// deployment matters. In-process, the batch runs through the sweep
+// engine's worker pool. Distributed, the manager is a dispatcher: the
+// batch is cut into sweep.Chunks, workers lease chunks (Lease), keep
+// them alive (Heartbeat) and post records back (Complete), and a worker
+// that dies mid-chunk simply stops heartbeating — its lease expires and
+// the chunk is re-queued for someone else. Workers are stateless: the
+// per-point rng.Split determinism contract means any worker reproduces
+// exactly the records a single-node run would, so completions are
+// idempotent and an N-worker fleet's merged result is byte-identical to
+// one process's. RunWorker is the worker loop, driven either in-process
+// against a *Manager (cmd/sweepd's local-workers fallback) or over HTTP
+// through *Client (cmd/sweepworker).
 package service
 
 import (
@@ -141,8 +145,11 @@ type job struct {
 	req      Request
 	scenario sweep.Scenario
 	budget   sweep.Budget
-	pts      []sweep.Point
-	total    int
+	// pts is a sweep's grid, the runner's one batch; nil for
+	// optimizations (their batches are bred per generation) and once
+	// the job ends.
+	pts   []sweep.Point
+	total int
 	// scenarioName is the scenario string in records, leases and cache
 	// keys: the grid scenario's name for sweeps, "optimize/<space>" for
 	// optimizations.
@@ -266,11 +273,12 @@ type Options struct {
 	// 256; a long-lived daemon stays bounded while the result store
 	// keeps the computed points themselves forever.
 	RetainJobs int
-	// Distributed switches job execution from the in-process sweep
-	// engine to the chunk dispatcher: jobs are cut into Chunks and
+	// Distributed switches batch evaluation from the in-process sweep
+	// engine to the chunk dispatcher: batches are cut into Chunks and
 	// served to workers over Lease/Heartbeat/Complete (in-process via
-	// RunWorker(m) or remote via cmd/sweepworker). Off, jobs run
-	// in-process exactly as before.
+	// RunWorker(m) or remote via cmd/sweepworker). Off, batches run on
+	// the daemon's own worker pool. Records are byte-identical either
+	// way.
 	Distributed bool
 	// ChunkPoints caps how many grid points one lease carries
 	// (default 4). Smaller chunks spread a job across more workers;
@@ -313,12 +321,8 @@ type Manager struct {
 	met    *serviceMetrics
 	log    *slog.Logger
 
-	// runSweep is sweep.Run, replaceable by tests that need jobs with
-	// controlled timing.
-	runSweep func(ctx context.Context, sc sweep.Scenario, cfg sweep.Config) (*sweep.Result, error)
-
-	// dispatch is non-nil in distributed mode: it owns the chunk queue
-	// and lease table served to workers.
+	// dispatch owns the chunk queue and lease table served to workers;
+	// only distributed batches put chunks in it.
 	dispatch *dispatcher
 
 	// started anchors the uptime gauge and the /healthz uptime field.
@@ -360,11 +364,10 @@ func New(opts Options) *Manager {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		opts:     opts,
-		met:      newServiceMetrics(reg),
-		log:      logger,
-		jobs:     make(map[string]*job),
-		runSweep: sweep.Run,
+		opts: opts,
+		met:  newServiceMetrics(reg),
+		log:  logger,
+		jobs: make(map[string]*job),
 	}
 	m.ctx = ctx
 	m.cancel = cancel
@@ -393,9 +396,7 @@ func New(opts Options) *Manager {
 			_, running := m.InFlight()
 			emit(float64(running))
 		})
-	if opts.Distributed {
-		m.dispatch = newDispatcher(opts.LeaseTTL, opts.Clock, m.met, logger, opts.Trace)
-	}
+	m.dispatch = newDispatcher(opts.LeaseTTL, opts.Clock, m.met, logger, opts.Trace)
 	m.cond = sync.NewCond(&m.mu)
 	for i := 0; i < opts.JobWorkers; i++ {
 		m.wg.Add(1)
@@ -520,11 +521,9 @@ func (m *Manager) Submit(req Request) (JobView, error) {
 		j.traceID = obs.NewTraceID()
 		j.rootSpanID = obs.NewSpanID()
 	}
-	if m.dispatch != nil {
-		// Only the dispatcher reads the grid; in-process jobs must not
-		// pin it in the retained-jobs table for their whole lifetime.
-		j.pts = pts
-	}
+	// The runner releases the grid when the job ends, so a retained
+	// terminal job does not pin it.
+	j.pts = pts
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.evictLocked()
@@ -849,19 +848,21 @@ func (m *Manager) worker() {
 		}
 		j := m.queue.pop()
 		m.mu.Unlock()
-		switch {
-		case j.kind == KindOptimize:
-			m.runOptimize(j)
-		case m.dispatch != nil:
-			m.runDistributed(j)
-		default:
-			m.run(j)
-		}
+		m.runJob(j)
 	}
 }
 
-// run executes one job through the sweep engine.
-func (m *Manager) run(j *job) {
+// runJob drives one job from queued to a terminal state, for both job
+// kinds and both deployments. A job is a list of point batches, each
+// evaluated by m.evaluate: a sweep is one batch over its grid, an
+// optimization one batch per generation, bred by the NSGA-II
+// coordinator on this goroutine (selection needs every record of a
+// generation, so the per-batch barrier costs nothing). Either way the
+// result is a pure function of the request, so every deployment
+// answers byte-identically. The trace gets one queued span, one
+// dispatch span per batch and, on success, one assemble span from the
+// last batch's return to the terminal state.
+func (m *Manager) runJob(j *job) {
 	j.mu.Lock()
 	if j.state != StateQueued {
 		// Cancelled while waiting in the queue.
@@ -878,6 +879,12 @@ func (m *Manager) run(j *job) {
 	m.log.Info("job started", "job_id", j.id, "kind", j.kind, "scenario", j.scenarioName)
 	m.recordPhase(j, "queued", submitted, started, nil)
 
+	var asmStart time.Time
+	evaluate := func(ctx context.Context, _ int, pts []sweep.Point) ([]sweep.Record, int, error) {
+		recs, cached, err := m.evaluate(ctx, j, pts)
+		asmStart = m.opts.Clock()
+		return recs, cached, err
+	}
 	res, err := func() (res *sweep.Result, err error) {
 		// A panicking point evaluation (sweep.Map re-raises worker
 		// panics) must fail this job, not take down the scheduler
@@ -888,30 +895,38 @@ func (m *Manager) run(j *job) {
 				res, err = nil, fmt.Errorf("service: job panicked: %v", r)
 			}
 		}()
-		return m.runSweep(ctx, j.scenario, sweep.Config{
-			Workers:  j.req.Workers,
-			Seed:     j.req.Seed,
-			Budget:   j.budget,
-			Cache:    m.opts.Cache,
-			Feasible: j.feasible,
-			OnPoint: func(_ int, cached bool) {
-				j.done.Add(1)
-				if cached {
-					j.cached.Add(1)
-				}
-				m.met.point(cached)
-			},
-		})
+		if j.kind == KindOptimize {
+			return m.optimize(ctx, j, evaluate)
+		}
+		recs, cached, err := evaluate(ctx, 0, j.pts)
+		if err != nil {
+			return nil, err
+		}
+		res = &sweep.Result{
+			Scenario:       j.scenarioName,
+			Description:    j.scenario.Description,
+			Seed:           j.req.Seed,
+			Budget:         j.budget.Name,
+			Records:        recs,
+			CachedPoints:   cached,
+			ComputedPoints: len(recs) - cached,
+		}
+		res.ParetoIndices = sweep.MarkParetoFeasible(res.Records, j.feasible)
+		return res, nil
 	}()
+	// Whatever way the run ended, withdraw any chunks still queued or
+	// leased and forget the job's lease ids.
+	m.dispatch.endJob(j)
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = m.opts.Clock()
-	m.recordPhase(j, "evaluate", started, j.finished, nil)
+	j.pts = nil
 	switch {
 	case err == nil:
 		j.state = StateDone
 		j.result = res
+		m.recordPhase(j, "assemble", asmStart, j.finished, nil)
 	case ctx.Err() != nil:
 		j.state = StateCancelled
 		j.errMsg = "cancelled: " + ctx.Err().Error()
@@ -922,97 +937,70 @@ func (m *Manager) run(j *job) {
 	m.noteFinishedLocked(j)
 }
 
-// runOptimize executes one optimization job through the adaptive
-// search engine. The NSGA-II coordinator always runs on this scheduler
-// goroutine; only the per-generation evaluation changes with the
-// deployment — in-process through sweep.EvaluatePoints, or chunked over
-// the worker fleet in distributed mode. Either way the result is a
-// pure function of the request, so the two deployments answer
-// byte-identically.
-func (m *Manager) runOptimize(j *job) {
-	j.mu.Lock()
-	if j.state != StateQueued {
-		// Cancelled while waiting in the queue.
-		j.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(m.ctx)
-	j.cancel = cancel
-	j.state = StateRunning
-	j.started = m.opts.Clock()
-	started, submitted := j.started, j.submitted
-	j.mu.Unlock()
-	defer cancel()
-	m.log.Info("job started", "job_id", j.id, "kind", j.kind, "scenario", j.scenarioName)
-	m.recordPhase(j, "queued", submitted, started, nil)
-
+// optimize runs an optimization job's search with evaluate as its
+// per-generation batch evaluator. The optimizer's archive is shaped
+// like a sweep result — records plus front indices — so every result
+// endpoint (records stream, Pareto front) serves both job kinds.
+func (m *Manager) optimize(ctx context.Context, j *job, evaluate search.Evaluator) (*sweep.Result, error) {
 	opts := j.searchOpts
+	opts.Evaluate = evaluate
 	opts.OnGeneration = func(g search.Generation) {
 		j.mu.Lock()
 		j.gens = append(j.gens, g)
 		j.mu.Unlock()
 	}
-	if m.dispatch != nil {
-		opts.Evaluate = m.distEvaluator(j)
-		// Whatever way the run ends, withdraw any chunks still queued or
-		// leased and forget the job's lease ids.
-		defer m.dispatch.endJob(j)
-	} else {
-		opts.Evaluate = search.InProcessEvaluator(
-			opts.Space, opts.Seed, opts.Budget, opts.Workers, m.opts.Cache,
-			func(_ int, cached bool) {
-				j.done.Add(1)
-				if cached {
-					j.cached.Add(1)
-				}
-				m.met.point(cached)
-			})
+	res, err := search.Optimize(ctx, opts)
+	if err != nil {
+		return nil, err
 	}
+	return &sweep.Result{
+		Scenario:       j.scenarioName,
+		Description:    opts.Space.Description,
+		Seed:           res.Seed,
+		Budget:         res.Budget,
+		Records:        res.Records,
+		ParetoIndices:  res.FrontIndices,
+		CachedPoints:   res.CachedPoints,
+		ComputedPoints: res.ComputedPoints,
+	}, nil
+}
 
-	res, err := func() (res *search.Result, err error) {
-		// Contain panics exactly like the sweep path: a blown-up point
-		// evaluation fails this job, not the daemon.
+// evaluate is the batch evaluator every job runs through, and the only
+// place the deployment matters. Distributed, the batch goes to the
+// worker fleet (dispatchBatch); in-process, it runs on this daemon's
+// pool through sweep.EvaluatePoints, the executor path sweep.Run and
+// search.InProcessEvaluator take, so the records are byte-identical.
+// In-process mode deliberately does not run local RunWorker loops
+// against the dispatcher: an idle worker sleeps a poll interval after
+// every empty lease, which would add up to one interval to every job.
+// Each batch books one dispatch span: evaluation wall time, cache
+// lookups included.
+func (m *Manager) evaluate(ctx context.Context, j *job, pts []sweep.Point) (recs []sweep.Record, cached int, err error) {
+	if j.traceID != "" {
+		start := m.opts.Clock()
 		defer func() {
-			if r := recover(); r != nil {
-				m.met.jobPanics.Inc()
-				res, err = nil, fmt.Errorf("service: job panicked: %v", r)
-			}
+			m.recordPhase(j, "dispatch", start, m.opts.Clock(), map[string]string{
+				"points": strconv.Itoa(len(pts)),
+				"cached": strconv.Itoa(cached),
+			})
 		}()
-		return search.Optimize(ctx, opts)
-	}()
-
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.finished = m.opts.Clock()
-	if m.dispatch == nil {
-		// Distributed generations already booked one dispatch span
-		// each; in-process evaluation is one opaque phase.
-		m.recordPhase(j, "evaluate", started, j.finished, nil)
 	}
-	switch {
-	case err == nil:
-		j.state = StateDone
-		// The optimizer's archive is shaped like a sweep result —
-		// records plus front indices — so every result endpoint
-		// (records stream, Pareto front) serves both job kinds.
-		j.result = &sweep.Result{
-			Scenario:       j.scenarioName,
-			Description:    opts.Space.Description,
-			Seed:           res.Seed,
-			Budget:         res.Budget,
-			Records:        res.Records,
-			ParetoIndices:  res.FrontIndices,
-			CachedPoints:   res.CachedPoints,
-			ComputedPoints: res.ComputedPoints,
-		}
-	case ctx.Err() != nil:
-		j.state = StateCancelled
-		j.errMsg = "cancelled: " + ctx.Err().Error()
-	default:
-		j.state = StateFailed
-		j.errMsg = err.Error()
+	if m.opts.Distributed {
+		return m.dispatchBatch(ctx, j, pts)
 	}
-	m.noteFinishedLocked(j)
+	return evalPoints(ctx, j.scenarioName, pts, sweep.Config{
+		Workers: j.req.Workers,
+		Seed:    j.req.Seed,
+		Budget:  j.budget,
+		Cache:   m.opts.Cache,
+		OnPoint: func(_ int, cached bool) {
+			j.done.Add(1)
+			if cached {
+				j.cached.Add(1)
+			}
+			m.met.point(cached)
+		},
+	})
 }
 
 // Generations returns an optimization job's per-generation summaries

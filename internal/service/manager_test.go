@@ -50,27 +50,36 @@ func TestSubmitValidates(t *testing.T) {
 	}
 }
 
-// blockingManager returns a single-worker manager whose jobs block until
-// their context is cancelled or the returned release channel is closed,
-// recording the order jobs start in.
+// stubEvalPoints replaces the in-process batch evaluator for the rest
+// of the test. The restore runs after the test's deferred Shutdown, so
+// no scheduler goroutine still reads the seam.
+func stubEvalPoints(t *testing.T, fn func(ctx context.Context, scenario string, pts []sweep.Point, cfg sweep.Config) ([]sweep.Record, int, error)) {
+	t.Helper()
+	orig := evalPoints
+	evalPoints = fn
+	t.Cleanup(func() { evalPoints = orig })
+}
+
+// blockingManager returns a single-worker in-process manager whose jobs
+// block until their context is cancelled or the returned release
+// channel is closed, recording the order jobs start in.
 func blockingManager(t *testing.T) (*Manager, chan struct{}, *[]string, *sync.Mutex) {
 	t.Helper()
-	m := New(Options{JobWorkers: 1})
 	release := make(chan struct{})
 	var mu sync.Mutex
 	var started []string
-	m.runSweep = func(ctx context.Context, sc sweep.Scenario, cfg sweep.Config) (*sweep.Result, error) {
+	stubEvalPoints(t, func(ctx context.Context, scenario string, _ []sweep.Point, _ sweep.Config) ([]sweep.Record, int, error) {
 		mu.Lock()
-		started = append(started, sc.Name)
+		started = append(started, scenario)
 		mu.Unlock()
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, 0, ctx.Err()
 		case <-release:
-			return &sweep.Result{Scenario: sc.Name}, nil
+			return nil, 0, nil
 		}
-	}
-	return m, release, &started, &mu
+	})
+	return New(Options{JobWorkers: 1}), release, &started, &mu
 }
 
 func waitState(t *testing.T, m *Manager, id string, want State) JobView {
@@ -208,14 +217,14 @@ func TestShutdownCancelsInFlightAndQueued(t *testing.T) {
 }
 
 func TestJobPanicMarksFailedNotCrash(t *testing.T) {
-	m := New(Options{JobWorkers: 1})
-	defer m.Shutdown(context.Background())
-	m.runSweep = func(ctx context.Context, sc sweep.Scenario, cfg sweep.Config) (*sweep.Result, error) {
-		if sc.Name == "paper-baseline" {
+	stubEvalPoints(t, func(_ context.Context, scenario string, _ []sweep.Point, _ sweep.Config) ([]sweep.Record, int, error) {
+		if scenario == "paper-baseline" {
 			panic("evaluate blew up")
 		}
-		return &sweep.Result{Scenario: sc.Name}, nil
-	}
+		return nil, 0, nil
+	})
+	m := New(Options{JobWorkers: 1})
+	defer m.Shutdown(context.Background())
 
 	bad, err := m.Submit(Request{Scenario: "paper-baseline"})
 	if err != nil {
@@ -234,11 +243,11 @@ func TestJobPanicMarksFailedNotCrash(t *testing.T) {
 }
 
 func TestRetainJobsEvictsOldestTerminal(t *testing.T) {
+	stubEvalPoints(t, func(context.Context, string, []sweep.Point, sweep.Config) ([]sweep.Record, int, error) {
+		return nil, 0, nil
+	})
 	m := New(Options{JobWorkers: 1, RetainJobs: 2})
 	defer m.Shutdown(context.Background())
-	m.runSweep = func(ctx context.Context, sc sweep.Scenario, cfg sweep.Config) (*sweep.Result, error) {
-		return &sweep.Result{Scenario: sc.Name}, nil
-	}
 
 	var ids []string
 	for i := 0; i < 4; i++ {

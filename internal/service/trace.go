@@ -38,8 +38,8 @@ func (m *Manager) JobTrace(id string) ([]obs.SpanRecord, error) {
 	return m.opts.Trace.JobSpans(j.id), nil
 }
 
-// PhaseView is one daemon-side phase of a job's timeline (queued,
-// dispatch, evaluate, assemble).
+// PhaseView is one daemon-side phase of a job's timeline (queued, one
+// dispatch per batch, assemble).
 type PhaseView struct {
 	Name            string    `json:"name"`
 	StartedAt       time.Time `json:"started_at"`
@@ -228,14 +228,11 @@ type FleetStats struct {
 }
 
 // FleetStats snapshots per-worker throughput profiles and the
-// straggler baseline. A non-distributed manager returns an empty
-// snapshot (no workers, zero samples).
+// straggler baseline. A manager no worker has leased from returns an
+// empty snapshot (no workers, zero samples).
 func (m *Manager) FleetStats() FleetStats {
 	out := FleetStats{Workers: []WorkerProfile{}, StragglerFactor: stragglerFactor}
 	d := m.dispatch
-	if d == nil {
-		return out
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	now := d.clock()

@@ -162,9 +162,6 @@ func TestDistributedTraceLifecycle(t *testing.T) {
 		workerIDs[ws.SpanID] = true
 	}
 	for _, es := range byName["evaluate"] {
-		if es.Worker == "" {
-			continue // the daemon-side evaluate phase of non-distributed jobs
-		}
 		if !workerIDs[es.ParentID] {
 			t.Fatalf("evaluate span %s not parented to a worker span (%q)", es.SpanID, es.ParentID)
 		}
@@ -223,6 +220,70 @@ func TestDistributedTraceLifecycle(t *testing.T) {
 	}
 	if fs.TurnaroundSamples != wantChunks {
 		t.Fatalf("fleet turnaround samples = %d, want %d", fs.TurnaroundSamples, wantChunks)
+	}
+}
+
+// TestPhaseSpansSameInBothModes pins the one-runner trace shape. In
+// process and over the fleet, a sweep and an optimization each book
+// exactly one queued span, one dispatch span per batch (the sweep's
+// grid, each generation) and one assemble span, in that order.
+func TestPhaseSpansSameInBothModes(t *testing.T) {
+	for _, distributed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("distributed=%v", distributed), func(t *testing.T) {
+			m := New(Options{
+				JobWorkers:  1,
+				Distributed: distributed,
+				ChunkPoints: 3,
+				LeaseTTL:    time.Minute,
+				Trace:       obs.NewCollector(1024),
+			})
+			defer m.Shutdown(context.Background())
+			if distributed {
+				wctx, stopWorker := context.WithCancel(context.Background())
+				workerDone := make(chan struct{})
+				go func() {
+					defer close(workerDone)
+					RunWorker(wctx, m, WorkerOptions{Name: "w", Poll: 5 * time.Millisecond, Workers: 1})
+				}()
+				defer func() {
+					stopWorker()
+					<-workerDone
+				}()
+			}
+			for _, tc := range []struct {
+				req     Request
+				batches int
+			}{
+				{Request{Scenario: "paper-baseline", Budget: "analytic", Seed: 2}, 1},
+				{optimizeReq(2), 3},
+			} {
+				v, err := m.Submit(tc.req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				waitState(t, m, v.ID, StateDone)
+				spans, err := m.JobTrace(v.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, s := range spans {
+					// Daemon-side phases: everything but the root and
+					// the per-worker chunk, worker and evaluate spans.
+					if s.Worker == "" && s.Name != "job" {
+						got = append(got, s.Name)
+					}
+				}
+				want := []string{"queued"}
+				for i := 0; i < tc.batches; i++ {
+					want = append(want, "dispatch")
+				}
+				want = append(want, "assemble")
+				if strings.Join(got, ",") != strings.Join(want, ",") {
+					t.Fatalf("%s job phases = %v, want %v", v.Kind, got, want)
+				}
+			}
+		})
 	}
 }
 

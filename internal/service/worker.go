@@ -258,8 +258,9 @@ func leaseScenario(l Lease) (sweep.Scenario, error) {
 }
 
 // evalChunk and evalPoints are sweep.EvaluateChunk and
-// sweep.EvaluatePoints, replaceable by tests that need a panicking
-// evaluation.
+// sweep.EvaluatePoints, replaceable by tests that need a panicking or
+// blocking evaluation. evalPoints serves optimizer leases here and is
+// also the manager's in-process batch evaluator.
 var (
 	evalChunk  = sweep.EvaluateChunk
 	evalPoints = sweep.EvaluatePoints

@@ -5,179 +5,13 @@ import (
 	"math"
 	"strconv"
 	"unicode/utf8"
-
-	"repro/internal/core"
 )
-
-// RecordBlock is a columnar (struct-of-arrays) representation of a
-// []Record: one flat array per field, all of equal length. It exists
-// for the batch-oriented hot paths — store segment appends, worker
-// chunk-completion bodies and NDJSON record streams — where encoding
-// row-structs one at a time through encoding/json dominates the
-// profile with per-record reflection and allocation. A block encodes
-// records through AppendRecordJSON, which emits bytes identical to
-// json.Marshal of the equivalent Record, so switching a path to the
-// block representation can never change what lands on disk or on the
-// wire. The in-memory round trip is exact too: float columns carry
-// NaN payloads and infinities bit-for-bit, which the fuzz harness
-// FuzzRecordColumnarRoundTrip pins down.
-type RecordBlock struct {
-	Scenario []string
-	Index    []int
-	Label    []string
-
-	// Spec columns (core.SystemSpec flattened).
-	SpecBoards             []int
-	SpecBoardSpacingM      []float64
-	SpecBoardEdgeM         []float64
-	SpecNodesPerBoard      []int
-	SpecLinkRateGbps       []float64
-	SpecLatencyBudgetBits  []int
-	SpecStackModules       []int
-	SpecStackInjectionRate []float64
-	SpecButler             []bool
-	SpecSNRMarginDB        []float64
-
-	// Optional spec sections ride along as pointer columns: the sections
-	// are small, immutable once built, and usually nil, so sharing the
-	// pointer is both cheap and exact (nil-ness round-trips).
-	SpecTraffic      []*core.TrafficSpec
-	SpecInterference []*core.InterferenceSpec
-	SpecPower        []*core.PowerSpec
-
-	Err []string
-
-	TxPowerDBm         []float64
-	SpectralEfficiency []float64
-
-	CodeLifting       []int
-	CodeWindow        []int
-	DecodeLatencyBits []float64
-
-	Topology         []string
-	NoCLatencyCycles []float64
-	NoCSaturation    []float64
-
-	BEREbN0DB        []float64
-	BER              []float64
-	BERCodewords     []int
-	SimLatencyCycles []float64
-	SimLatencyCI95   []float64
-	SimReplications  []int
-
-	Pareto []bool
-}
-
-// Len returns the number of records in the block.
-func (b *RecordBlock) Len() int { return len(b.Index) }
-
-// Append adds one record's fields to the block's columns.
-func (b *RecordBlock) Append(r Record) {
-	b.Scenario = append(b.Scenario, r.Scenario)
-	b.Index = append(b.Index, r.Index)
-	b.Label = append(b.Label, r.Label)
-	b.SpecBoards = append(b.SpecBoards, r.Spec.Boards)
-	b.SpecBoardSpacingM = append(b.SpecBoardSpacingM, r.Spec.BoardSpacingM)
-	b.SpecBoardEdgeM = append(b.SpecBoardEdgeM, r.Spec.BoardEdgeM)
-	b.SpecNodesPerBoard = append(b.SpecNodesPerBoard, r.Spec.NodesPerBoard)
-	b.SpecLinkRateGbps = append(b.SpecLinkRateGbps, r.Spec.LinkRateGbps)
-	b.SpecLatencyBudgetBits = append(b.SpecLatencyBudgetBits, r.Spec.LatencyBudgetBits)
-	b.SpecStackModules = append(b.SpecStackModules, r.Spec.StackModules)
-	b.SpecStackInjectionRate = append(b.SpecStackInjectionRate, r.Spec.StackInjectionRate)
-	b.SpecButler = append(b.SpecButler, r.Spec.Butler)
-	b.SpecSNRMarginDB = append(b.SpecSNRMarginDB, r.Spec.SNRMarginDB)
-	b.SpecTraffic = append(b.SpecTraffic, r.Spec.Traffic)
-	b.SpecInterference = append(b.SpecInterference, r.Spec.Interference)
-	b.SpecPower = append(b.SpecPower, r.Spec.Power)
-	b.Err = append(b.Err, r.Err)
-	b.TxPowerDBm = append(b.TxPowerDBm, r.TxPowerDBm)
-	b.SpectralEfficiency = append(b.SpectralEfficiency, r.SpectralEfficiency)
-	b.CodeLifting = append(b.CodeLifting, r.CodeLifting)
-	b.CodeWindow = append(b.CodeWindow, r.CodeWindow)
-	b.DecodeLatencyBits = append(b.DecodeLatencyBits, r.DecodeLatencyBits)
-	b.Topology = append(b.Topology, r.Topology)
-	b.NoCLatencyCycles = append(b.NoCLatencyCycles, r.NoCLatencyCycles)
-	b.NoCSaturation = append(b.NoCSaturation, r.NoCSaturation)
-	b.BEREbN0DB = append(b.BEREbN0DB, r.BEREbN0DB)
-	b.BER = append(b.BER, r.BER)
-	b.BERCodewords = append(b.BERCodewords, r.BERCodewords)
-	b.SimLatencyCycles = append(b.SimLatencyCycles, r.SimLatencyCycles)
-	b.SimLatencyCI95 = append(b.SimLatencyCI95, r.SimLatencyCI95)
-	b.SimReplications = append(b.SimReplications, r.SimReplications)
-	b.Pareto = append(b.Pareto, r.Pareto)
-}
-
-// BlockRecords builds a block from a record slice.
-func BlockRecords(recs []Record) *RecordBlock {
-	b := &RecordBlock{}
-	for _, r := range recs {
-		b.Append(r)
-	}
-	return b
-}
-
-// Record reconstructs record i from the columns.
-func (b *RecordBlock) Record(i int) Record {
-	return Record{
-		Scenario: b.Scenario[i],
-		Index:    b.Index[i],
-		Label:    b.Label[i],
-		Spec: core.SystemSpec{
-			Boards:             b.SpecBoards[i],
-			BoardSpacingM:      b.SpecBoardSpacingM[i],
-			BoardEdgeM:         b.SpecBoardEdgeM[i],
-			NodesPerBoard:      b.SpecNodesPerBoard[i],
-			LinkRateGbps:       b.SpecLinkRateGbps[i],
-			LatencyBudgetBits:  b.SpecLatencyBudgetBits[i],
-			StackModules:       b.SpecStackModules[i],
-			StackInjectionRate: b.SpecStackInjectionRate[i],
-			Butler:             b.SpecButler[i],
-			SNRMarginDB:        b.SpecSNRMarginDB[i],
-			Traffic:            b.SpecTraffic[i],
-			Interference:       b.SpecInterference[i],
-			Power:              b.SpecPower[i],
-		},
-		Err:                b.Err[i],
-		TxPowerDBm:         b.TxPowerDBm[i],
-		SpectralEfficiency: b.SpectralEfficiency[i],
-		CodeLifting:        b.CodeLifting[i],
-		CodeWindow:         b.CodeWindow[i],
-		DecodeLatencyBits:  b.DecodeLatencyBits[i],
-		Topology:           b.Topology[i],
-		NoCLatencyCycles:   b.NoCLatencyCycles[i],
-		NoCSaturation:      b.NoCSaturation[i],
-		BEREbN0DB:          b.BEREbN0DB[i],
-		BER:                b.BER[i],
-		BERCodewords:       b.BERCodewords[i],
-		SimLatencyCycles:   b.SimLatencyCycles[i],
-		SimLatencyCI95:     b.SimLatencyCI95[i],
-		SimReplications:    b.SimReplications[i],
-		Pareto:             b.Pareto[i],
-	}
-}
-
-// Records materialises the block back into a record slice.
-func (b *RecordBlock) Records() []Record {
-	out := make([]Record, b.Len())
-	for i := range out {
-		out[i] = b.Record(i)
-	}
-	return out
-}
-
-// AppendRecordJSON appends the compact JSON encoding of record i to
-// dst, producing exactly the bytes json.Marshal would for the
-// equivalent Record. A NaN or infinite float returns the failure
-// json.Marshal reports, with dst unchanged.
-func (b *RecordBlock) AppendRecordJSON(dst []byte, i int) ([]byte, error) {
-	return AppendRecordJSON(dst, b.Record(i))
-}
 
 // AppendRecordJSON appends one record's compact JSON to dst —
 // byte-identical to json.Marshal(r): same field order, same omitempty
 // behaviour, same float formatting, same string escaping. It neither
 // reflects nor allocates (beyond growing dst), which is what makes the
-// columnar wire and segment paths cheap.
+// store's segment appends and the workers' completion bodies cheap.
 func AppendRecordJSON(dst []byte, r Record) ([]byte, error) {
 	for _, v := range [...]float64{
 		r.Spec.BoardSpacingM, r.Spec.BoardEdgeM, r.Spec.LinkRateGbps,
@@ -408,20 +242,4 @@ func AppendJSONString(dst []byte, s string) []byte {
 	}
 	dst = append(dst, s[start:]...)
 	return append(dst, '"')
-}
-
-// AppendRecordsJSON appends a compact JSON array of every record in
-// the block — the chunk-completion wire shape — to dst.
-func (b *RecordBlock) AppendRecordsJSON(dst []byte) ([]byte, error) {
-	dst = append(dst, '[')
-	for i := 0; i < b.Len(); i++ {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var err error
-		if dst, err = b.AppendRecordJSON(dst, i); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, ']'), nil
 }

@@ -9,12 +9,12 @@ import (
 	"repro/internal/core"
 )
 
-// columnarCorpus returns records that exercise every encoder edge:
+// recordJSONCorpus returns records that exercise every encoder edge:
 // omitempty fields present and absent, floats that switch encoding/json
 // into exponent form, negative zero, subnormals, and strings that need
 // escaping (HTML characters, quotes, control bytes, invalid UTF-8,
 // U+2028).
-func columnarCorpus() []Record {
+func recordJSONCorpus() []Record {
 	return []Record{
 		{},
 		{
@@ -52,11 +52,11 @@ func columnarCorpus() []Record {
 	}
 }
 
-// TestAppendRecordJSONMatchesMarshal pins the columnar encoder to
+// TestAppendRecordJSONMatchesMarshal pins the record encoder to
 // encoding/json byte for byte — the property that makes it safe to
 // swap into the store segment and wire paths.
 func TestAppendRecordJSONMatchesMarshal(t *testing.T) {
-	for i, r := range columnarCorpus() {
+	for i, r := range recordJSONCorpus() {
 		want, err := json.Marshal(r)
 		if err != nil {
 			t.Fatalf("record %d: marshal: %v", i, err)
@@ -68,23 +68,6 @@ func TestAppendRecordJSONMatchesMarshal(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("record %d: encoding mismatch\n got %s\nwant %s", i, got, want)
 		}
-	}
-}
-
-// TestAppendRecordsJSONMatchesMarshal checks the array form used by
-// chunk-completion bodies.
-func TestAppendRecordsJSONMatchesMarshal(t *testing.T) {
-	recs := columnarCorpus()
-	want, err := json.Marshal(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := BlockRecords(recs).AppendRecordsJSON(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("array encoding mismatch\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -113,78 +96,11 @@ func TestAppendRecordJSONRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// recordsBitEqual compares records exactly, treating floats by bit
-// pattern so NaN payloads and negative zero count.
-// specSectionsBitEqual compares the optional spec sections exactly,
-// nil-ness included.
-func specSectionsBitEqual(a, b core.SystemSpec) bool {
-	feq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	if (a.Traffic == nil) != (b.Traffic == nil) ||
-		(a.Interference == nil) != (b.Interference == nil) ||
-		(a.Power == nil) != (b.Power == nil) {
-		return false
-	}
-	if a.Traffic != nil && (a.Traffic.Pattern != b.Traffic.Pattern ||
-		a.Traffic.HotspotModule != b.Traffic.HotspotModule ||
-		!feq(a.Traffic.HotspotFraction, b.Traffic.HotspotFraction)) {
-		return false
-	}
-	if a.Interference != nil && (a.Interference.Neighbors != b.Interference.Neighbors ||
-		a.Interference.CopperBoards != b.Interference.CopperBoards ||
-		!feq(a.Interference.RejectionDB, b.Interference.RejectionDB)) {
-		return false
-	}
-	if a.Power != nil && !feq(a.Power.MaxTxPowerDBm, b.Power.MaxTxPowerDBm) {
-		return false
-	}
-	return true
-}
-
-func recordsBitEqual(a, b Record) bool {
-	feq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-	return specSectionsBitEqual(a.Spec, b.Spec) &&
-		a.Scenario == b.Scenario && a.Index == b.Index && a.Label == b.Label &&
-		a.Spec.Boards == b.Spec.Boards && feq(a.Spec.BoardSpacingM, b.Spec.BoardSpacingM) &&
-		feq(a.Spec.BoardEdgeM, b.Spec.BoardEdgeM) && a.Spec.NodesPerBoard == b.Spec.NodesPerBoard &&
-		feq(a.Spec.LinkRateGbps, b.Spec.LinkRateGbps) && a.Spec.LatencyBudgetBits == b.Spec.LatencyBudgetBits &&
-		a.Spec.StackModules == b.Spec.StackModules && feq(a.Spec.StackInjectionRate, b.Spec.StackInjectionRate) &&
-		a.Spec.Butler == b.Spec.Butler && feq(a.Spec.SNRMarginDB, b.Spec.SNRMarginDB) &&
-		a.Err == b.Err && feq(a.TxPowerDBm, b.TxPowerDBm) &&
-		feq(a.SpectralEfficiency, b.SpectralEfficiency) && a.CodeLifting == b.CodeLifting &&
-		a.CodeWindow == b.CodeWindow && feq(a.DecodeLatencyBits, b.DecodeLatencyBits) &&
-		a.Topology == b.Topology && feq(a.NoCLatencyCycles, b.NoCLatencyCycles) &&
-		feq(a.NoCSaturation, b.NoCSaturation) && feq(a.BEREbN0DB, b.BEREbN0DB) &&
-		feq(a.BER, b.BER) && a.BERCodewords == b.BERCodewords &&
-		feq(a.SimLatencyCycles, b.SimLatencyCycles) && feq(a.SimLatencyCI95, b.SimLatencyCI95) &&
-		a.SimReplications == b.SimReplications && a.Pareto == b.Pareto
-}
-
-// TestRecordBlockRoundTrip checks the in-memory columnar round trip,
-// including non-finite floats the JSON encoder refuses: the block
-// itself must carry them losslessly.
-func TestRecordBlockRoundTrip(t *testing.T) {
-	recs := append(columnarCorpus(), Record{
-		BER:              math.NaN(),
-		SimLatencyCycles: math.Inf(1),
-		SimLatencyCI95:   math.Inf(-1),
-		TxPowerDBm:       math.Float64frombits(0x7ff8_dead_beef_0001), // NaN with payload
-	})
-	b := BlockRecords(recs)
-	if b.Len() != len(recs) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(recs))
-	}
-	back := b.Records()
-	for i := range recs {
-		if !recordsBitEqual(recs[i], back[i]) {
-			t.Errorf("record %d: round trip drifted\n got %+v\nwant %+v", i, back[i], recs[i])
-		}
-	}
-}
-
 // FuzzRecordColumnarRoundTrip drives records with fuzzer-chosen field
 // values — float bit patterns included, so NaN payloads and infinities
-// appear — through the block round trip and, when finite, through the
-// JSON identity against encoding/json.
+// appear — through AppendRecordJSON: it must fail exactly when
+// encoding/json fails and, when both succeed, emit identical bytes that
+// decode back.
 func FuzzRecordColumnarRoundTrip(f *testing.F) {
 	f.Add("paper-grid", "label", "", "mesh", 3, 0.1, -3.75, uint64(0x3ff0000000000000), uint64(0), 4096, true, false)
 	f.Add("", "", "infeasible", "", -1, 1e-7, 1e21, uint64(0x7ff8000000000001), uint64(0xfff0000000000000), 0, false, true)
@@ -211,7 +127,7 @@ func FuzzRecordColumnarRoundTrip(f *testing.F) {
 		}
 		// Optional sections are derived from the existing arguments (the
 		// committed seed corpus keeps its signature) and still cover NaN
-		// and infinity bit patterns through the float columns.
+		// and infinity bit patterns through their float fields.
 		if pareto {
 			r.Spec.Traffic = &core.TrafficSpec{
 				Pattern: label, HotspotModule: cw,
@@ -224,13 +140,6 @@ func FuzzRecordColumnarRoundTrip(f *testing.F) {
 			}
 			r.Spec.Power = &core.PowerSpec{MaxTxPowerDBm: math.Float64frombits(bits2 ^ 0xff)}
 		}
-		b := BlockRecords([]Record{r, r})
-		for i := 0; i < b.Len(); i++ {
-			if got := b.Record(i); !recordsBitEqual(r, got) {
-				t.Fatalf("row %d: block round trip drifted\n got %+v\nwant %+v", i, got, r)
-			}
-		}
-
 		want, werr := json.Marshal(r)
 		got, gerr := AppendRecordJSON(nil, r)
 		if (werr == nil) != (gerr == nil) {

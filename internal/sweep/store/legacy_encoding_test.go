@@ -11,7 +11,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestPutLineMatchesLegacyEncoding pins the columnar segment writer to
+// TestPutLineMatchesLegacyEncoding pins the segment line writer to
 // the bytes the original double json.Marshal produced, so stores
 // written before and after the switch interleave freely in the same
 // segment files.

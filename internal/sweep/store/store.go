@@ -378,7 +378,7 @@ func (s *Store) put(key string, rec sweep.Record) bool {
 	}
 	// Encode outside the lock: encoding is the expensive part of a
 	// Put, and holding the mutex across it would serialize every sweep
-	// worker behind one encoder. The columnar record writer emits the
+	// worker behind one encoder. sweep.AppendRecordJSON emits the
 	// exact bytes the old json.Marshal(entry{...}) pair produced —
 	// segment_test pins that — in a single buffer instead of two
 	// reflective marshals.
